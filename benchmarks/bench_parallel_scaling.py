@@ -29,6 +29,11 @@ repo root::
 
 ``--smoke`` runs a reduced matrix (2 ranks, both backends, tiny grid)
 without writing the JSON — the CI scaling smoke test.
+
+The full run also records ``launcher_pair``: the large-tile
+process-vs-socket comparison (2 ranks, 32x64x128 per panel, C kernels,
+paired runs in alternating order) that decides whether both
+out-of-process launchers earn their keep.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from __future__ import annotations
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -117,6 +123,66 @@ def measure_parallel(config: RunConfig, backend: str, ranks: int,
     }
 
 
+#: the large-tile launcher comparison: the paper's per-process block,
+#: where memcpy through shared memory and loopback TCP can differ
+PAIR_GRID = dict(nr=32, nth=64, nph=128)
+PAIR_RUNS = 12
+PAIR_STEPS = 8
+
+
+def measure_launcher_pair() -> dict:
+    """Paired process-vs-socket runs of one 2-rank world on C kernels.
+
+    The two launchers run back to back within a pair, and the order
+    alternates between pairs, so host-speed drift hits both alike.  Per
+    run: seconds per step and comm seconds per step of the slowest rank
+    (TimerObserver; launch excluded).
+    """
+    n_steps = PAIR_STEPS
+    config = bench_config(PAIR_GRID)
+    saved = os.environ.get("REPRO_KERNELS")
+    os.environ["REPRO_KERNELS"] = "c"  # spawned ranks inherit it
+    pairs = []
+    try:
+        for i in range(PAIR_RUNS):
+            order = ("process", "socket") if i % 2 == 0 else ("socket", "process")
+            pair = {"first": order[0]}
+            for backend in order:
+                res = run_parallel_dynamo(config, 1, 1, n_steps,
+                                          backend=backend, timeout=600.0)
+                if res.kernel_backend != "c" or res.launcher_backend != backend:
+                    raise RuntimeError(
+                        f"ran {res.launcher_backend}/{res.kernel_backend}, "
+                        f"asked for {backend}/c"
+                    )
+                pair[backend] = {
+                    "step_s": max(res.rank_step_seconds) / n_steps,
+                    "comm_s": max(res.rank_comm_seconds) / n_steps,
+                }
+            pairs.append(pair)
+    finally:
+        if saved is None:
+            os.environ.pop("REPRO_KERNELS", None)
+        else:
+            os.environ["REPRO_KERNELS"] = saved
+    ratios = [p["socket"]["step_s"] / p["process"]["step_s"] for p in pairs]
+    return {
+        "grid": PAIR_GRID,
+        "ranks": 2,
+        "kernels": "c",
+        "n_steps": n_steps,
+        "methodology": (
+            "per run: max over ranks of step-loop seconds / n_steps and of "
+            "comm seconds / n_steps (TimerObserver, launch excluded); "
+            "process and socket run back to back in each pair, order "
+            "alternating between pairs"
+        ),
+        "pairs": pairs,
+        "process_faster_pairs": sum(r > 1.0 for r in ratios),
+        "median_socket_over_process_step": statistics.median(ratios),
+    }
+
+
 def measure(n_steps: int = 6, rank_counts: list[int] = (2, 4, 8),
             grid: dict[str, int] = None) -> dict:
     grid = dict(BENCH_GRID if grid is None else grid)
@@ -152,6 +218,7 @@ def measure(n_steps: int = 6, rank_counts: list[int] = (2, 4, 8),
 
 def emit_json(path: Path = JSON_PATH, **kwargs) -> dict:
     report = measure(**kwargs)
+    report["launcher_pair"] = measure_launcher_pair()
     path.write_text(json.dumps(report, indent=2) + "\n")
     return report
 
@@ -169,6 +236,16 @@ def _print_summary(rep: dict) -> None:
                   f"({pt['speedup_vs_serial']:.2f}x vs serial)")
     for backend, reason in rep.get("skipped_backends", {}).items():
         print(f"  {backend:<8} skipped — {reason}")
+    pair = rep.get("launcher_pair")
+    if pair is not None:
+        for backend in ("process", "socket"):
+            steps = [p[backend]["step_s"] for p in pair["pairs"]]
+            comms = [p[backend]["comm_s"] for p in pair["pairs"]]
+            print(f"  {backend:<8} 2 ranks {pair['grid']}: step "
+                  f"{min(steps):.3f}-{max(steps):.3f} s, comm "
+                  f"{min(comms):.3f}-{max(comms):.3f} s")
+        print(f"  process faster in {pair['process_faster_pairs']}/"
+              f"{len(pair['pairs'])} pairs")
 
 
 # ---- pytest entry point (the CI scaling smoke) --------------------------------

@@ -29,8 +29,8 @@ REP003 — *send tags structurally match receive tags.*
     Tags are canonicalised to the multiset of additive terms with
     integer coefficients and abstracted non-constant factors, so
     ``base + 8*k + DIR[opp(d)]`` matches ``base + 8*k + DIR[d]`` but
-    not ``base + 4*k + DIR[d]`` — the tag-stride drift between packed
-    and legacy wire formats this rule exists to catch.  A receive with
+    not ``base + 4*k + DIR[d]`` — the tag-stride drift between a
+    send and its receive that this rule exists to catch.  A receive with
     no tag (or ``ANY_TAG``) is a wildcard.
 
 REP004 — *no collectives under rank-dependent conditionals.*

@@ -6,14 +6,17 @@ a 2-D process array within each panel, halo exchange uses
 ``MPI_SEND / MPI_IRECV`` between the four neighbours, and the Yin<->Yang
 overset interpolation communicates under the world communicator.
 
-mpi4py is unavailable in this environment, so the same program structure
-runs on interchangeable SimMPI backends (:mod:`repro.parallel.backends`):
-the thread-based :class:`~repro.parallel.simmpi.SimMPI` runtime
-(in-process mailboxes, the correctness substrate) or the process-based
-:class:`~repro.parallel.procmpi.ProcMPI` runtime (one OS process per
-rank over ``multiprocessing.shared_memory`` — real multi-core
-execution).  The parallel solver is verified to reproduce the serial
-yycore fields exactly on both.
+The same program structure runs on interchangeable launchers
+(:mod:`repro.parallel.backends`): the thread-based
+:class:`~repro.parallel.simmpi.SimMPI` runtime (in-process mailboxes,
+the correctness substrate); one OS process per rank on the shared
+out-of-process runtime of :mod:`repro.parallel.transport`, moving bytes
+through shared memory (:class:`~repro.parallel.procmpi.ProcMPI`) or TCP
+frames (:class:`~repro.parallel.sockmpi.SockMPI`, which can span
+hosts); or real MPI through mpi4py when it is installed.  Every
+launcher carries one wire format — one packed message per halo
+neighbour or overset donor pair — and the parallel solver is verified
+to reproduce the serial yycore fields exactly on each.
 """
 
 from repro.parallel.simmpi import (

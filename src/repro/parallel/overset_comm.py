@@ -12,12 +12,10 @@ rank identically (deterministic), and each exchange is a set of
 ``(nr, m)`` column messages followed by the weighted combine (and, for
 vectors, the basis rotation) on the receptor.
 
-With ``packed=True`` (the default) every donor->receptor pair sends a
-single ``(nfields, nr, m)`` buffer per exchange instead of one message
-per field, and :meth:`OversetExchanger.exchange_state` batches *all*
-prognostic fields of a state into that one message (rotating the two
-vector triples on the receptor).  The per-field combine and rotation
-arithmetic is untouched, so packing is bitwise-neutral.
+Every donor->receptor pair sends a single packed ``(nfields, nr, m)``
+buffer per exchange, and :meth:`OversetExchanger.exchange_state`
+batches *all* prognostic fields of a state into that one message
+(rotating the two vector triples on the receptor).
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from repro.parallel.simmpi import CommunicatorBase
 
 Array = np.ndarray
 
-#: Tag block per (direction, field) pair under the world communicator.
+#: Tag block of the overset messages under the world communicator.
 _TAG_BASE = 4096
 
 
@@ -153,10 +151,6 @@ class OversetExchanger:
         0 for Yin, 1 for Yang — my panel.
     panel_rank:
         My rank within the panel group.
-    packed:
-        When true (default) each donor->receptor pair sends one
-        ``(nfields, nr, m)`` message per exchange; when false, the
-        legacy one-message-per-field wire format is used.
     """
 
     def __init__(
@@ -166,11 +160,8 @@ class OversetExchanger:
         world: CommunicatorBase,
         panel_index: int,
         panel_rank: int,
-        *,
-        packed: bool = True,
     ):
         self.world = world
-        self.packed = packed
         self.decomp = decomp
         self.panel_index = panel_index
         self.panel_rank = panel_rank
@@ -208,10 +199,7 @@ class OversetExchanger:
         nf = len(fields)
         if vector and nf != 3:
             raise ValueError("vector exchange needs exactly 3 components")
-        if self.packed:
-            self._exchange_packed(fields, ((0, 1, 2),) if vector else (), tag0)
-        else:
-            self._exchange_legacy(fields, vector, tag0)
+        self._exchange(fields, ((0, 1, 2),) if vector else (), tag0)
 
     def exchange_state(
         self,
@@ -225,29 +213,11 @@ class OversetExchanger:
         ``.arrays()``) or a plain sequence of fields.  ``rotate_groups``
         names the index triples that are spherical vector components and
         get the donor->receptor basis rotation; the defaults match the
-        prognostic layout ``(rho, fr, fth, fph, p, ar, ath, aph)``.  On
-        the packed path this is ONE message per donor->receptor pair for
-        the whole state; on the legacy path it decomposes into the
-        historical per-scalar / per-vector exchanges (8 tags apart).
+        prognostic layout ``(rho, fr, fth, fph, p, ar, ath, aph)``.  This
+        is ONE message per donor->receptor pair for the whole state.
         """
         fields = tuple(state.arrays()) if hasattr(state, "arrays") else tuple(state)
-        if self.packed:
-            self._exchange_packed(fields, rotate_groups, tag0)
-            return
-        starts = {g[0]: g for g in rotate_groups}
-        consumed = {i for g in rotate_groups for i in g}
-        block = 0
-        for k in range(len(fields)):
-            if k in starts:
-                g = starts[k]
-                self._exchange_legacy(
-                    tuple(fields[i] for i in g), True, tag0 + 8 * block
-                )
-            elif k not in consumed:
-                self._exchange_legacy((fields[k],), False, tag0 + 8 * block)
-            else:
-                continue
-            block += 1
+        self._exchange(fields, rotate_groups, tag0)
 
     def _post_plan(self):
         my_receptor_dir = self.panel_index
@@ -260,8 +230,8 @@ class OversetExchanger:
     @hot_path
     def _combine(self, receptor: _ReceptorSide, corner_vals: Array,
                  rotate_groups, fields: Sequence[Array]) -> None:
-        """Weighted combine + rotation + ring write-back (shared by both
-        wire formats — this is where bitwise equivalence lives)."""
+        """Weighted combine + rotation + ring write-back (this is where
+        bitwise equivalence with the serial interpolator lives)."""
         nf = len(fields)
         # bilinear combine, accumulated corner-by-corner in the same
         # (left-associated) order as the serial interpolator so the
@@ -286,11 +256,11 @@ class OversetExchanger:
             fields[k][:, i, j] = vals[k]
 
     def protocol_ops(self, tag0: int = 0) -> dict:
-        """Wire protocol of one packed :meth:`exchange_state` for this
+        """Wire protocol of one :meth:`exchange_state` for this
         rank, as ``{"recvs": [(src_world, tag)], "sends": [(dest_world,
         tag)]}`` in posting order.
 
-        Derived from the same plan objects ``_packed_begin`` iterates —
+        Derived from the same plan objects ``_begin`` iterates —
         no communicator needed (the exchanger may be built with
         ``world=None``), so the schedule model checker
         (:func:`repro.checkers.schedule.dynamo_step_programs`) checks
@@ -307,9 +277,9 @@ class OversetExchanger:
         }
 
     @hot_path
-    def _packed_begin(self, fields: Sequence[Array], tag0: int) -> list[tuple]:
+    def _begin(self, fields: Sequence[Array], tag0: int) -> list[tuple]:
         """Post all receives and pack+post all sends; returns the posted
-        receive requests for :meth:`_packed_finish` to drain."""
+        receive requests for :meth:`_finish` to drain."""
         nf = len(fields)
         donor, receptor = self._post_plan()
         nr = fields[0].shape[0]
@@ -334,8 +304,8 @@ class OversetExchanger:
         return recvs
 
     @hot_path
-    def _packed_finish(self, fields: Sequence[Array], rotate_groups,
-                       recvs: list[tuple]) -> None:
+    def _finish(self, fields: Sequence[Array], rotate_groups,
+                recvs: list[tuple]) -> None:
         """Wait, validate and unpack every receive, then combine."""
         nf = len(fields)
         _, receptor = self._post_plan()
@@ -359,16 +329,16 @@ class OversetExchanger:
 
         self._combine(receptor, corner_vals, rotate_groups, fields)
 
-    def _exchange_packed(self, fields: Sequence[Array], rotate_groups,
-                         tag0: int) -> None:
+    def _exchange(self, fields: Sequence[Array], rotate_groups,
+                  tag0: int) -> None:
         """One ``(nfields, nr, m)`` message per donor->receptor pair.
 
         The blocking exchange is literally begin-then-finish with no
         compute in between, so the split-phase path (REPRO_OVERLAP=1)
         is bitwise identical by construction.
         """
-        recvs = self._packed_begin(fields, tag0)
-        self._packed_finish(fields, rotate_groups, recvs)
+        recvs = self._begin(fields, tag0)
+        self._finish(fields, rotate_groups, recvs)
 
     # ---- split-phase state exchange (REPRO_OVERLAP=1) --------------------------
 
@@ -381,15 +351,9 @@ class OversetExchanger:
         """Start an :meth:`exchange_state`: post every receive, pack and
         post every send, and return a handle — the ring write-back is
         deferred to :meth:`exchange_state_finish`, so interior compute
-        can run while the messages are in flight.  Packed wire format
-        only (the split exists for the hot path)."""
-        if not self.packed:
-            raise ValueError(
-                "split-phase overset exchange requires packed=True "
-                "(the legacy wire format has no begin/finish split)"
-            )
+        can run while the messages are in flight."""
         fields = tuple(state.arrays()) if hasattr(state, "arrays") else tuple(state)
-        recvs = self._packed_begin(fields, tag0)
+        recvs = self._begin(fields, tag0)
         return OversetHandle(fields=fields, rotate_groups=tuple(rotate_groups),
                              recvs=recvs)
 
@@ -401,50 +365,7 @@ class OversetExchanger:
         if handle.finished:
             raise ValueError("overset exchange handle already finished")
         handle.finished = True
-        self._packed_finish(handle.fields, handle.rotate_groups, handle.recvs)
-
-    @hot_path
-    def _exchange_legacy(self, fields: Sequence[Array], vector: bool,
-                         tag0: int) -> None:
-        """Historical wire format: one message per (pair, field)."""
-        nf = len(fields)
-        donor, receptor = self._post_plan()
-
-        # post receives for my ring data
-        recvs = []
-        for d, (slot_c, slot_j) in receptor.sources.items():
-            src = self._world_rank(1 - self.panel_index, d)
-            for k in range(nf):
-                tag = _TAG_BASE + tag0 + 4 * self.panel_index + k
-                recvs.append((self.world.Irecv(source=src, tag=tag), d, k, slot_c, slot_j))
-
-        # send my donor columns for the opposite ring
-        for r, (lith, liph) in donor.targets.items():
-            dest = self._world_rank(1 - self.panel_index, r)
-            for k in range(nf):
-                tag = _TAG_BASE + tag0 + 4 * (1 - self.panel_index) + k
-                # fancy indexing already yields a fresh contiguous array;
-                # wrapping it in ascontiguousarray would be a no-op call
-                self.world.Send(fields[k][:, lith, liph], dest=dest, tag=tag)
-
-        if receptor.n_loc == 0:
-            for req, *_ in recvs:
-                req.wait()
-            return
-
-        nr = fields[0].shape[0]
-        # scatter target for the received columns (sized per exchange)
-        corner_vals = np.zeros((nf, 4, nr, receptor.n_loc))  # repro: noqa-REP001
-        for req, d, k, slot_c, slot_j in recvs:
-            payload = validate_payload(
-                req.wait(), (nr, slot_c.size), fields[0].dtype,
-                what=f"overset message for field {k} from panel rank {d}",
-                plan="this rank's interpolation plan",
-            )
-            corner_vals[k, slot_c, :, slot_j] = payload.T
-
-        self._combine(receptor, corner_vals, ((0, 1, 2),) if vector else (),
-                      fields)
+        self._finish(handle.fields, handle.rotate_groups, handle.recvs)
 
     def exchange_scalar(self, f: Array, tag0: int = 0) -> None:
         self.exchange((f,), vector=False, tag0=tag0)

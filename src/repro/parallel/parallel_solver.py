@@ -59,20 +59,15 @@ class ParallelYinYangDynamo:
 
     Construct inside a SimMPI program (either backend); ``world.size``
     must equal ``2 * pth * pph`` (the paper notes the total process
-    count is even).  ``packed=True`` (the default) coalesces halo and
-    overset traffic into one message per neighbour / per donor pair;
-    ``packed=False`` keeps the legacy one-message-per-field wire format.
-    Both produce bitwise-identical fields.
+    count is even).  Halo and overset traffic travel as one packed
+    message per neighbour / per donor pair.
     """
 
     def __init__(self, world: CommunicatorBase, config: RunConfig, pth: int,
-                 pph: int, *, packed: bool = True, overlap: bool = False):
+                 pph: int, *, overlap: bool = False):
         self.world = world
         self.config = config
-        self.packed = packed
-        # split-phase exchange needs the packed wire format (the legacy
-        # per-field path has no begin/finish split)
-        self.overlap = bool(overlap) and packed
+        self.overlap = bool(overlap)
         self.pth, self.pph = pth, pph
         nper = pth * pph
         if world.size != 2 * nper:
@@ -105,10 +100,10 @@ class ParallelYinYangDynamo:
         omega_cart = (0.0, 0.0, omega) if self.panel is Panel.YIN else (0.0, omega, 0.0)
         self.equations = PanelEquations(self.local_patch, c.params, omega_cart)
         self.wall_bc = WallBC(c.params, magnetic=c.magnetic_bc)
-        self.halo = HaloExchanger(self.cart, self.sub, packed=packed)
+        self.halo = HaloExchanger(self.cart, self.sub)
         self.overset = OversetExchanger(
             self.grid, self.decomp, world, self.panel_index,
-            self.panel_comm.rank, packed=packed,
+            self.panel_comm.rank,
         )
 
         self.time = 0.0
@@ -118,7 +113,6 @@ class ParallelYinYangDynamo:
         #: blocking schedule books enforce under ``comm`` and the whole
         #: RHS under ``rim`` so the accounting is comparable
         self.phase_seconds = {"comm": 0.0, "interior": 0.0, "rim": 0.0}
-        self._field_cache: dict[int, tuple[Array, tuple[Array, ...]]] = {}
         self._interior, self._rims, self._early_wall, self._late_wall = (
             self._split_boxes() if self.overlap else (None, None, None, None)
         )
@@ -291,34 +285,13 @@ class ParallelYinYangDynamo:
             out.iadd_scaled(-1.0, self._base_rhs)
         return out
 
-    def _fields(self, state: MHDState) -> tuple[Array, ...]:
-        """The state's arrays as a reused tuple (REP001 hot-path rule).
-
-        RK4 cycles a handful of state objects per step (the live state
-        plus recycled stage storage), so the per-stage
-        ``list(state.arrays())`` rebuild is hoisted into a small cache
-        keyed on the identity of the leading array — array objects are
-        only ever updated in place, never swapped between states."""
-        key = id(state.rho)
-        got = self._field_cache.get(key)
-        if got is None or got[0] is not state.rho:
-            got = (state.rho, tuple(state.arrays()))
-            self._field_cache[key] = got
-        return got[1]
-
     def enforce(self, state: MHDState) -> None:
         """Overset exchange, halo exchange, wall conditions — in that
         order, so ring updates reach neighbouring halos before the local
         stencils read them."""
-        if self.packed:
-            # all 8 prognostic fields in ONE message per donor pair
-            self.overset.exchange_state(state, tag0=0)
-        else:
-            self.overset.exchange_scalar(state.rho, tag0=0)
-            self.overset.exchange_scalar(state.p, tag0=8)
-            self.overset.exchange_vector(state.f, tag0=16)
-            self.overset.exchange_vector(state.a, tag0=24)
-        self.halo.exchange(self._fields(state))
+        # all 8 prognostic fields in ONE message per donor pair
+        self.overset.exchange_state(state, tag0=0)
+        self.halo.exchange(tuple(state.arrays()))
         self.wall_bc.apply(state)
 
     def enforce_rhs(self, state: MHDState) -> MHDState:
@@ -347,7 +320,7 @@ class ParallelYinYangDynamo:
 
         t0 = pc()
         oh = self.overset.exchange_state_begin(state, tag0=0)
-        hh = self.halo.exchange_begin(self._fields(state))
+        hh = self.halo.exchange_begin(tuple(state.arrays()))
         if self._early_wall is not None:
             # wall the columns the interior pass reads, now that the
             # overset donors have packed their pre-wall values — their
@@ -670,8 +643,8 @@ class _GatherFingerprints(StepObserver):
 
 
 def _parallel_program(world: CommunicatorBase, config: RunConfig, pth: int,
-                      pph: int, n_steps: int, packed: bool = True,
-                      restart=None, checkpoint_dir=None,
+                      pph: int, n_steps: int, restart=None,
+                      checkpoint_dir=None,
                       checkpoint_every: int | None = None,
                       overlap: bool = False,
                       fingerprint_every: int | None = None):
@@ -682,8 +655,7 @@ def _parallel_program(world: CommunicatorBase, config: RunConfig, pth: int,
     """
     from repro.engine import CheckpointObserver
 
-    solver = ParallelYinYangDynamo(world, config, pth, pph, packed=packed,
-                                   overlap=overlap)
+    solver = ParallelYinYangDynamo(world, config, pth, pph, overlap=overlap)
     timer = TimerObserver()
     observers: list = [timer]
     if checkpoint_every:
@@ -727,7 +699,6 @@ def run_parallel_dynamo(
     *,
     timeout: float = 300.0,
     backend: str | None = "thread",
-    packed: bool = True,
     overlap: bool | None = None,
     restart=None,
     checkpoint_dir=None,
@@ -760,7 +731,7 @@ def run_parallel_dynamo(
     blocked-cycle witness instead of hanging into the timeout guard.
     """
     resolved = select(backend)
-    use_overlap = select_overlap(resolved, overlap) and packed
+    use_overlap = select_overlap(resolved, overlap)
     if verify_schedule:
         from repro.checkers.schedule import (
             check_deadlock_free,
@@ -779,9 +750,8 @@ def run_parallel_dynamo(
             )
     launcher = get_backend(resolved)
     results = launcher.run(
-        2 * pth * pph, _parallel_program, config, pth, pph, n_steps, packed,
-        restart, checkpoint_dir, checkpoint_every, use_overlap,
-        fingerprint_every,
+        2 * pth * pph, _parallel_program, config, pth, pph, n_steps, restart,
+        checkpoint_dir, checkpoint_every, use_overlap, fingerprint_every,
         timeout=timeout,
     )
     out = results[0]

@@ -17,19 +17,16 @@ with NumPy message payloads carried through a single
   Non-array payloads (and arrays too large for half the arena) fall
   back to pickling through the descriptor queue.
 
-Collectives run the *same* rank-ordered algorithms as the thread
-backend (:class:`~repro.parallel.simmpi.CommunicatorBase`); the
-rendezvous is a gather-to-root + rebroadcast over the slot transport,
-so reductions associate identically on both backends and the parallel
-solver stays bitwise-equal to the serial one under either.
+This module is only the byte mover: the communicator, receive
+matching, collectives, result reporting and launch/teardown are the
+shared out-of-process runtime of :mod:`repro.parallel.transport`, so
+reductions associate identically on every backend and the parallel
+solver stays bitwise-equal to the serial one.
 
 Environment
 -----------
 ``REPRO_PROCMPI_SLOTS`` / ``REPRO_PROCMPI_SLOT_BYTES``
     Arena geometry (slot count / slot size in bytes).
-``REPRO_PROCMPI_START``
-    ``multiprocessing`` start method (default ``spawn``; ``fork`` is
-    faster to launch on Linux but unsafe with threads in the parent).
 ``REPRO_SIMMPI_TIMEOUT``
     Blocking-operation guard, shared with the thread backend.
 """
@@ -39,47 +36,35 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import pickle
 import queue as _queue
-import time as _time
-import traceback
 from multiprocessing import shared_memory
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from typing import Any
 
 import numpy as np
 
-from repro.checkers.hb import PendingOp, WaitForGraph
-from repro.checkers.sanitize import (
-    ProtocolRecorder,
-    ProtocolViolation,
-    freeze_payload,
-    sanitize_enabled,
-)
+from repro.checkers.hb import PendingOp
+from repro.checkers.sanitize import ProtocolViolation
 from repro.parallel.frames import ndarray_nbytes
 from repro.parallel.simmpi import (
-    ANY_SOURCE,
-    ANY_TAG,
-    CommunicatorBase,
-    DeadlockError,
     DeadlockTimeout,
     SimMPIError,
     resolve_timeout,
 )
 from repro.parallel.transport import (
-    COLL_CHANNEL,
-    RootedRendezvous,
-    verify_protocol,
+    SPAWN,
+    RankRuntime,
+    RankWorld,
+    diagnose_deadlock,
+    pack_exception,
+    run_rank,
 )
 
-__all__ = ["ProcMPI", "ProcCommunicator", "ProcWorkerError"]
+__all__ = ["ProcMPI", "ProcWorkerError"]
 
 #: Descriptor payload kinds.
 _KIND_SLOTS = 0  # ndarray in arena slots: meta = (slots, shape, dtype, nbytes)
 _KIND_PICKLE = 1  # anything else: meta = the object itself (queue pickles it)
-
-#: Collective control channel, shared with the socket backend.
-_COLL = COLL_CHANNEL
 
 # ---- launcher registration (repro.parallel.backends) ------------------------------
 
@@ -203,14 +188,15 @@ class _OpRegister:
             self.seg.unlink()
 
 
-class _ProcRuntime:
+
+
+class _ProcRuntime(RankRuntime):
     """One rank process's view of the shared transport."""
 
     def __init__(self, world_rank: int, nprocs: int, arena_name: str,
                  slot_bytes: int, n_slots: int, free_q, inboxes, timeout: float,
                  register_name: str | None = None):
-        self.world_rank = world_rank
-        self.nprocs = nprocs
+        super().__init__(world_rank, nprocs, timeout)
         self.slot_bytes = slot_bytes
         self.n_slots = n_slots
         #: refuse to occupy more than half the arena with one message —
@@ -218,41 +204,22 @@ class _ProcRuntime:
         self.max_slots_per_msg = max(1, n_slots // 2)
         self.free_q = free_q
         self.inboxes = inboxes
-        self.timeout = timeout
         # NB: attaching re-registers the name with the resource tracker,
         # but rank processes share the launcher's tracker (spawned
         # children inherit it), whose cache is a set — the launcher's
         # single unlink() cleans the one entry up.
         self.arena = shared_memory.SharedMemory(name=arena_name)
-        #: descriptors popped from my inbox but not yet matched
-        self.pending: list[tuple] = []
         self.register = (
             _OpRegister(nprocs, name=register_name) if register_name else None
         )
-        #: blocking ops can nest (a collective's internal sends may park
-        #: on slot acquisition) — publish the innermost one
-        self._op_stack: list[PendingOp] = []
         #: once a deadlock is diagnosed the published op stays up, so
         #: peers (and the launcher) that read later still see the full
         #: blocked picture while this process unwinds
         self._stuck = False
 
-    # ---- wait-for registration (shared with RootedRendezvous) -----------------
-
-    def wfg_enter(self, op: PendingOp) -> PendingOp:
-        self._op_stack.append(op)
-        if self.register is not None:
-            self.register.publish(self.world_rank, op)
-        return op
-
-    def wfg_exit(self, rank: int | None = None) -> None:
-        if self._op_stack:
-            self._op_stack.pop()
+    def _publish(self, op: PendingOp | None) -> None:
         if self.register is not None and not self._stuck:
-            self.register.publish(
-                self.world_rank,
-                self._op_stack[-1] if self._op_stack else None,
-            )
+            self.register.publish(self.world_rank, op)
 
     def deadlock_error(self, base: str) -> DeadlockTimeout:
         """Upgrade a bare timeout into a wait-for-graph diagnosis.
@@ -263,14 +230,7 @@ class _ProcRuntime:
         if self.register is None:
             return DeadlockTimeout(base)
         self._stuck = True
-        raw = self.register.read_all()
-        snap = WaitForGraph.snapshot_from_dicts(raw, self.nprocs)
-        cycle = WaitForGraph.find_cycle(snap)
-        return DeadlockError(
-            base + "\n" + WaitForGraph.describe(snap, cycle),
-            pending=raw,
-            cycle=cycle,
-        )
+        return diagnose_deadlock(base, self.register.read_all(), self.nprocs)
 
     # ---- slot management ------------------------------------------------------
 
@@ -333,11 +293,11 @@ class _ProcRuntime:
             self.free_q.put(s)
         return out
 
-    # ---- transport ------------------------------------------------------------
+    # ---- byte mover -----------------------------------------------------------
 
     def send(self, dest_world: int, chan: str, src_rank: int, tag: int,
              payload: Any) -> int:
-        """Post one message; returns the payload byte count (accounting)."""
+        """Post one descriptor ``(chan, source, tag, kind, meta)``."""
         nbytes = 0
         if isinstance(payload, np.ndarray) and payload.nbytes > 0:
             arr = payload if payload.flags.c_contiguous else np.ascontiguousarray(payload)
@@ -355,44 +315,20 @@ class _ProcRuntime:
         self.inboxes[dest_world].put(desc)
         return nbytes
 
-    def _materialise(self, desc) -> Any:
-        kind, meta = desc[3], desc[4]
+    def _poll(self, wait: float) -> tuple | None:
+        try:
+            return self.inboxes[self.world_rank].get(timeout=wait)
+        except _queue.Empty:
+            return None
+
+    def _materialise(self, entry: tuple) -> Any:
+        kind, meta = entry[3], entry[4]
         if kind == _KIND_SLOTS:
             return self._read_slots(meta)
         return meta
 
-    def recv(self, chan: str, source: int, tag: int) -> tuple[int, int, Any]:
-        """Match and return ``(source_rank, matched_tag, payload)``."""
-        def match_idx() -> int | None:
-            for i, d in enumerate(self.pending):
-                if d[0] != chan:
-                    continue
-                if (source == ANY_SOURCE or d[1] == source) and (
-                    tag == ANY_TAG or d[2] == tag
-                ):
-                    return i
-            return None
-
-        # deadlock-timeout bookkeeping, not numerics
-        deadline = _time.monotonic() + self.timeout  # repro: noqa-REP015
-        while True:
-            idx = match_idx()
-            if idx is not None:
-                desc = self.pending.pop(idx)
-                return desc[1], desc[2], self._materialise(desc)
-            remaining = deadline - _time.monotonic()  # repro: noqa-REP015
-            if remaining <= 0:
-                raise self.deadlock_error(
-                    f"Recv(chan={chan!r}, source={source}, tag={tag}) timed out "
-                    f"after {self.timeout}s on world rank {self.world_rank}"
-                )
-            with contextlib.suppress(_queue.Empty):  # loop re-checks the deadline
-                self.pending.append(
-                    self.inboxes[self.world_rank].get(timeout=remaining)
-                )
-
     def close(self) -> None:
-        self.pending.clear()
+        super().close()
         if self.register is not None:
             self.register.close()
         # a stray view can pin the mmap; leak it quietly in that case
@@ -400,248 +336,106 @@ class _ProcRuntime:
             self.arena.close()
 
 
-#: One recorder per rank *process* (REPRO_SANITIZE=1).  Unlike the
-#: thread backend it only sees this rank's half of each message, so the
-#: cross-rank checks happen at finalize by exchanging snapshots (see
-#: :func:`_verify_protocol`).
-_RECORDER: ProtocolRecorder | None = None
-
-
-def _process_recorder() -> ProtocolRecorder | None:
-    global _RECORDER
-    if _RECORDER is None and sanitize_enabled():
-        _RECORDER = ProtocolRecorder()
-    return _RECORDER
-
-
-#: Finalize-time sanitizer merge, shared with the socket backend.
-_verify_protocol = verify_protocol
-
-
-class ProcCommunicator(RootedRendezvous, CommunicatorBase):
-    """MPI-style communicator where every rank is an OS process.
-
-    Point-to-point payloads travel through the shared-memory arena;
-    collectives come from :class:`CommunicatorBase` over the shared
-    :class:`~repro.parallel.transport.RootedRendezvous` (gather-to-root
-    + rebroadcast; ``gather``/``bcast`` specialised to avoid shipping
-    the full payload dict to every member)."""
-
-    def __init__(self, runtime: _ProcRuntime, comm_id: str,
-                 members: Sequence[int], world_rank: int):
-        self._rt = runtime
-        self._init_base(comm_id, members, world_rank)
-        self._recorder = _process_recorder()
-
-    # ---- point-to-point -------------------------------------------------------
-
-    def Send(self, data: Any, dest: int, tag: int = 0, *, move: bool = False) -> None:
-        """Blocking standard send: memcpy into shared slots and post the
-        descriptor.  The transfer itself decouples sender and receiver,
-        so ``move=True`` needs no special handling here."""
-        if not 0 <= dest < self.size:
-            raise SimMPIError(f"dest {dest} out of range for comm of size {self.size}")
-        nbytes = self._rt.send(self.members[dest], self.id, self.rank, tag, data)
-        self.bytes_sent += nbytes
-        self.messages_sent += 1
-        if self._recorder is not None:
-            self._recorder.note_send(self.id, self.rank, dest, tag)
-            if move:
-                # the bytes are already in shared memory; freezing the
-                # caller's buffer still catches sender-side reuse, with
-                # the same semantics as the thread backend
-                freeze_payload(data)
-
-    def Recv(self, buf: np.ndarray | None = None, source: int = ANY_SOURCE,
-             tag: int = ANY_TAG) -> Any:
-        self._rt.wfg_enter(PendingOp(
-            rank=self._rt.world_rank, kind="Recv", comm=self.id,
-            source=self.members[source] if source >= 0 else None,
-            tag=None if tag == ANY_TAG else tag,
-        ))
-        try:
-            src, matched_tag, payload = self._rt.recv(self.id, source, tag)
-        finally:
-            self._rt.wfg_exit()
-        if self._recorder is not None:
-            self._recorder.note_recv(self.id, src, self.rank, matched_tag)
-        if buf is not None:
-            arr = np.asarray(payload)
-            if buf.shape != arr.shape:
-                raise SimMPIError(
-                    f"Recv buffer shape {buf.shape} != message shape {arr.shape}"
-                )
-            buf[...] = arr
-        return payload
-
-    # ---- collective rendezvous: RootedRendezvous over self._rt ----------------
-
-    def _make_child(self, comm_id: str, members: Sequence[int]) -> ProcCommunicator:
-        return ProcCommunicator(self._rt, comm_id, members, self.world_rank)
-
-
 # ---- worker bootstrap ------------------------------------------------------------
-
-
-def _pack_result(value: Any) -> tuple[str, bytes]:
-    try:
-        return "pickle", pickle.dumps(value)
-    except Exception as exc:  # unpicklable return value
-        return "text", repr(value).encode() + b" (unpicklable: " + repr(exc).encode() + b")"
-
-
-def _pack_exception(exc: BaseException) -> tuple[str, Any]:
-    tb = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
-    try:
-        return "exc", (pickle.dumps(exc), tb)
-    except Exception:
-        return "text", f"{type(exc).__name__}: {exc}\n{tb}"
 
 
 def _worker_main(rank: int, nprocs: int, arena_name: str, slot_bytes: int,
                  n_slots: int, free_q, inboxes, result_q, timeout: float,
                  register_name: str | None,
                  fn: Callable[..., Any], fn_args: tuple, fn_kwargs: dict) -> None:
-    """Entry point of one rank process (module-level: spawn-picklable)."""
+    """Entry point of one rank process (module-level: spawn-picklable).
+    Failures travel to the launcher as results, so the process itself
+    exits quietly."""
+    def report(status: str, packed: tuple) -> None:
+        result_q.put((rank, status, packed))
+
     try:
         runtime = _ProcRuntime(rank, nprocs, arena_name, slot_bytes, n_slots,
                                free_q, inboxes, timeout,
                                register_name=register_name)
     except BaseException as exc:  # noqa: BLE001 - reported to launcher
-        result_q.put(("err", rank, _pack_exception(exc)))
+        report("err", pack_exception(exc))
         return
     try:
-        comm = ProcCommunicator(runtime, "world", list(range(nprocs)), rank)
-        value = fn(comm, *fn_args, **fn_kwargs)
-        rec = _process_recorder()
-        if rec is not None:
-            _verify_protocol(comm, rec)
-        result_q.put(("ok", rank, _pack_result(value)))
-    except BaseException as exc:  # noqa: BLE001 - reported to launcher
-        result_q.put(("err", rank, _pack_exception(exc)))
+        with contextlib.suppress(BaseException):  # reported by run_rank
+            run_rank(runtime, fn, fn_args, fn_kwargs, report)
     finally:
         runtime.close()
+
+
+class _ProcWorld(RankWorld):
+    """One launch: the slot arena, the op register and the queues."""
+
+    label = "process"
+    worker_error = ProcWorkerError
+
+    def __init__(self, nprocs: int, timeout: float):
+        # spawn re-imports the interpreter per rank: generous startup slack
+        super().__init__(nprocs, timeout, slack=60.0 * nprocs)
+        self.n_slots, self.slot_bytes = _arena_geometry()
+        self.arena = shared_memory.SharedMemory(
+            create=True, size=self.n_slots * self.slot_bytes
+        )
+        self.register = _OpRegister(nprocs)
+        self.free_q = SPAWN.Queue()
+        for i in range(self.n_slots):
+            self.free_q.put(i)
+        self.inboxes = [SPAWN.Queue() for _ in range(nprocs)]
+        self.result_q = SPAWN.Queue()
+
+    def launch(self, fn, args, kwargs) -> None:
+        self.spawn(_worker_main, lambda r: (
+            r, self.nprocs, self.arena.name, self.slot_bytes, self.n_slots,
+            self.free_q, self.inboxes, self.result_q, self.timeout,
+            self.register.name, fn, args, kwargs,
+        ), "procmpi")
+
+    def next_result(self, wait: float):
+        try:
+            return self.result_q.get(timeout=wait)
+        except _queue.Empty:
+            return None
+
+    def idle_error(self) -> BaseException | None:
+        dead = [r for r in self.dead() if r not in self.reported]
+        if not dead:
+            return None
+        return ProcWorkerError(
+            f"rank process(es) {dead} died (exit codes "
+            f"{[self.procs[r].exitcode for r in dead]}) without "
+            "reporting a result — startup crash?"
+        )
+
+    def blocked_ops(self) -> dict[int, dict | None]:
+        # the op register tells deadlock from crash
+        return self.register.read_all()
+
+    def teardown(self, error: BaseException | None) -> None:
+        self.reap(error is not None)
+        for q in [*self.inboxes, self.free_q, self.result_q]:
+            q.close()
+            q.cancel_join_thread()
+        self.arena.close()
+        with contextlib.suppress(FileNotFoundError):
+            self.arena.unlink()
+        self.register.close()
+        self.register.unlink()
 
 
 class ProcMPI:
     """Launcher: run an SPMD function with one OS process per rank.
 
     Mirrors :meth:`repro.parallel.simmpi.SimMPI.run`, but ``fn``,
-    ``args`` and ``kwargs`` must be picklable (spawn start method) and
+    ``args`` and ``kwargs`` must be picklable (ranks are spawned) and
     the per-rank return values are shipped back through a result queue.
     """
 
     name = "process"
 
     @staticmethod
-    def run(
-        nprocs: int,
-        fn: Callable[..., Any],
-        *args: Any,
-        timeout: float = None,
-        start_method: str | None = None,
-        **kwargs: Any,
-    ) -> list[Any]:
-        import multiprocessing as mp
-
+    def run(nprocs: int, fn: Callable[..., Any], *args: Any,
+            timeout: float = None, **kwargs: Any) -> list[Any]:
         timeout = resolve_timeout(timeout)
         if nprocs < 1:
             raise ValueError(f"nprocs must be >= 1, got {nprocs}")
-        method = start_method or os.environ.get("REPRO_PROCMPI_START", "spawn")
-        ctx = mp.get_context(method)
-        n_slots, slot_bytes = _arena_geometry()
-        arena = shared_memory.SharedMemory(create=True, size=n_slots * slot_bytes)
-        register = _OpRegister(nprocs)
-        free_q = ctx.Queue()
-        for i in range(n_slots):
-            free_q.put(i)
-        inboxes = [ctx.Queue() for _ in range(nprocs)]
-        result_q = ctx.Queue()
-        procs = [
-            ctx.Process(
-                target=_worker_main,
-                args=(r, nprocs, arena.name, slot_bytes, n_slots, free_q,
-                      inboxes, result_q, timeout, register.name,
-                      fn, args, kwargs),
-                name=f"procmpi-rank-{r}",
-                daemon=True,
-            )
-            for r in range(nprocs)
-        ]
-        results: list[Any] = [None] * nprocs
-        error: BaseException | None = None
-        try:
-            for p in procs:
-                p.start()
-            # spawn re-imports the interpreter per rank; allow generous
-            # startup slack on top of the run-time guard
-            deadline = _time.monotonic() + 2 * timeout + 60.0 * nprocs
-            reported = [False] * nprocs
-            for _ in range(nprocs):
-                while True:
-                    try:
-                        kind, rank, packed = result_q.get(timeout=0.2)
-                        break
-                    except _queue.Empty:
-                        dead = [
-                            r for r, p in enumerate(procs)
-                            if not reported[r] and p.exitcode not in (None, 0)
-                        ]
-                        if dead:
-                            error = ProcWorkerError(
-                                f"rank process(es) {dead} died (exit codes "
-                                f"{[procs[r].exitcode for r in dead]}) without "
-                                "reporting a result — startup crash?"
-                            )
-                        elif _time.monotonic() < deadline:
-                            continue
-                        else:
-                            # the op register tells deadlock from crash:
-                            # read every rank's published blocking op
-                            raw = register.read_all()
-                            snap = WaitForGraph.snapshot_from_dicts(raw, nprocs)
-                            cycle = WaitForGraph.find_cycle(snap)
-                            error = DeadlockError(
-                                f"process world of {nprocs} did not report "
-                                f"within {2 * timeout:.0f}s run guard\n"
-                                + WaitForGraph.describe(snap, cycle),
-                                pending=raw,
-                                cycle=cycle,
-                            )
-                        break
-                if error is not None:
-                    break
-                reported[rank] = True
-                if kind == "ok":
-                    how, blob = packed
-                    results[rank] = pickle.loads(blob) if how == "pickle" else blob
-                else:
-                    how, payload = packed
-                    if how == "exc":
-                        blob, tb = payload
-                        try:
-                            error = pickle.loads(blob)
-                        except Exception:
-                            error = ProcWorkerError(f"rank {rank} failed:\n{tb}")
-                    else:
-                        error = ProcWorkerError(f"rank {rank} failed:\n{payload}")
-                    break
-        finally:
-            grace = 1.0 if error is not None else timeout
-            for p in procs:
-                p.join(timeout=grace)
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-                    p.join(timeout=5.0)
-            for q in [*inboxes, free_q, result_q]:
-                q.close()
-                q.cancel_join_thread()
-            arena.close()
-            with contextlib.suppress(FileNotFoundError):
-                arena.unlink()
-            register.close()
-            register.unlink()
-        if error is not None:
-            raise error
-        return results
+        return _ProcWorld(nprocs, timeout).run(fn, args, kwargs)

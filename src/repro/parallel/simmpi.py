@@ -15,16 +15,20 @@ MPI subset yycore needs (paper Section IV):
 * communicator management: ``split`` (the paper's ``MPI_COMM_SPLIT``
   dividing the world into the Yin and Yang panel groups) and ``dup``.
 
-Two backends share this API (select with ``SimMPI.run(..., backend=)``
-or :func:`repro.parallel.backends.get_backend`):
+Every launcher in the registry (:mod:`repro.parallel.backends`) shares
+this API; select one with ``SimMPI.run(..., backend=)`` or
+:func:`repro.parallel.backends.get_backend`:
 
 * ``"thread"`` (this module) — one thread per rank, in-process
   mailboxes.  A *correctness* substrate: the GIL serialises
   NumPy-light work, so it performs no real parallel speedup.
-* ``"process"`` (:mod:`repro.parallel.procmpi`) — one OS process per
-  rank; message payloads travel through a ``multiprocessing.
-  shared_memory`` arena by memcpy, so the ranks genuinely use
-  multiple cores.
+* ``"process"`` (:mod:`repro.parallel.procmpi`) and ``"socket"``
+  (:mod:`repro.parallel.sockmpi`) — one OS process per rank on the
+  shared out-of-process runtime (:mod:`repro.parallel.transport`);
+  payloads move by memcpy through shared memory or as TCP frames
+  through a coordinator (the only one that spans hosts).
+* ``"mpi4py"`` (:mod:`repro.parallel.mpimpi`) — real MPI ranks under
+  ``mpirun``, when ``mpi4py`` is installed.
 
 Semantics notes
 ---------------

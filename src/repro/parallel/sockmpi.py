@@ -17,11 +17,13 @@ disagreement all raise
 :class:`~repro.checkers.sanitize.ProtocolViolation`), but array
 payloads are only materialised at the destination rank.
 
-Collectives come from the shared
-:class:`~repro.parallel.transport.RootedRendezvous` (gather-to-root +
-rebroadcast on the ``"\\x00coll"`` control channel), so reductions
-associate in rank order exactly as on the thread and process backends
-and the parallel solver stays bitwise-equal to the serial one.
+This module is only the byte mover: the communicator, receive
+matching, collectives (gather-to-root + rebroadcast on the
+``"\\x00coll"`` control channel), result reporting and launch/teardown
+are the shared out-of-process runtime of
+:mod:`repro.parallel.transport`, so reductions associate in rank order
+exactly as on the thread and process backends and the parallel solver
+stays bitwise-equal to the serial one.
 
 Control protocol (``"\\x00ctl"`` channel, coordinator ``dest = -3``):
 ``HELLO`` (worker → coordinator, with protocol version), ``ASSIGN``
@@ -58,38 +60,32 @@ from __future__ import annotations
 
 import contextlib
 import os
-import pickle
 import queue as _queue
 import socket as _socket
 import threading
 import time as _time
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from typing import Any
 
 import numpy as np
 
-from repro.checkers.hb import PendingOp, WaitForGraph
-from repro.checkers.sanitize import (
-    ProtocolRecorder,
-    ProtocolViolation,
-    freeze_payload,
-    sanitize_enabled,
-)
-from repro.parallel.frames import Frame, encode_frame, read_frame
+from repro.checkers.sanitize import ProtocolViolation
+from repro.parallel.frames import encode_frame, read_frame
 from repro.parallel.fuzz import ScheduleFuzzer
-from repro.parallel.procmpi import _pack_exception, _pack_result
 from repro.parallel.simmpi import (
-    ANY_SOURCE,
-    ANY_TAG,
-    CommunicatorBase,
     DeadlockError,
     DeadlockTimeout,
     SimMPIError,
     resolve_timeout,
 )
-from repro.parallel.transport import RootedRendezvous, verify_protocol
+from repro.parallel.transport import (
+    RankRuntime,
+    RankWorld,
+    diagnose_deadlock,
+    run_rank,
+)
 
-__all__ = ["SockCommunicator", "SockMPI", "SockWorkerError", "worker_join"]
+__all__ = ["SockMPI", "SockWorkerError", "worker_join"]
 
 #: Control traffic (handshake, results, aborts) rides its own channel.
 CTL_CHANNEL = "\x00ctl"
@@ -194,43 +190,19 @@ def _send_frame(sock: _socket.socket, lock: threading.Lock, chan: str,
 # ---- worker side -----------------------------------------------------------------
 
 
-class _SockRuntime:
+class _SockRuntime(RankRuntime):
     """One rank's view of the star transport: a single coordinator socket.
 
-    Exposes the two transport primitives :class:`RootedRendezvous`
-    builds on — ``send(dest_world, chan, src_rank, tag, payload)`` and
-    ``recv(chan, source, tag)`` — with the same matching semantics as
-    the shared-memory runtime: frames read off the socket that match
-    nothing yet are parked in ``pending`` until a receive asks for them.
+    Inbound entries are ``(chan, source, tag, frame)``; a frame's array
+    payload is only materialised once a receive matches it.
     """
 
     def __init__(self, sock: _socket.socket, world_rank: int, nprocs: int,
                  timeout: float):
+        super().__init__(world_rank, nprocs, timeout)
         self.sock = sock
-        self.world_rank = world_rank
-        self.nprocs = nprocs
-        self.timeout = timeout
-        self.pending: list[Frame] = []
         self._wlock = threading.Lock()
         self._read = _recv_exactly_fn(sock, f"rank {world_rank}")
-        #: one recorder per rank runtime (REPRO_SANITIZE=1) — per-rank
-        #: snapshots merge at finalize via :func:`verify_protocol`
-        self.recorder: ProtocolRecorder | None = (
-            ProtocolRecorder() if sanitize_enabled() else None
-        )
-        #: blocking ops can nest (a collective recv inside the
-        #: rendezvous); the innermost one names why this rank is stuck
-        self._op_stack: list[PendingOp] = []
-
-    # ---- wait-for registration (shared with RootedRendezvous) -----------------
-
-    def wfg_enter(self, op: PendingOp) -> PendingOp:
-        self._op_stack.append(op)
-        return op
-
-    def wfg_exit(self, rank: int | None = None) -> None:
-        if self._op_stack:
-            self._op_stack.pop()
 
     def deadlock_error(self, base: str) -> DeadlockError:
         """Upgrade a bare timeout: tell the coordinator why this rank is
@@ -258,8 +230,12 @@ class _SockRuntime:
                 f"during send: {exc}"
             ) from exc
 
-    def _next_frame(self) -> Frame:
-        frame = read_frame(self._read)
+    def _poll(self, wait: float) -> tuple | None:
+        self.sock.settimeout(wait)
+        try:
+            frame = read_frame(self._read)
+        except DeadlockTimeout:
+            return None
         if frame.chan == CTL_CHANNEL:
             msg = frame.materialise()
             if isinstance(msg, tuple) and msg and msg[0] == "ABORT":
@@ -268,122 +244,30 @@ class _SockRuntime:
                 f"rank {self.world_rank}: unexpected control message "
                 f"{msg!r} mid-run"
             )
-        return frame
+        return frame.chan, frame.source, frame.tag, frame
 
-    def recv(self, chan: str, source: int, tag: int) -> tuple[int, int, Any]:
-        """Match and return ``(source_rank, matched_tag, payload)``."""
-
-        def match_idx() -> int | None:
-            for i, f in enumerate(self.pending):
-                if f.chan != chan:
-                    continue
-                if (source == ANY_SOURCE or f.source == source) and (
-                    tag == ANY_TAG or f.tag == tag
-                ):
-                    return i
-            return None
-
-        # deadlock-timeout bookkeeping, not numerics
-        deadline = _time.monotonic() + self.timeout  # repro: noqa-REP015
-        while True:
-            idx = match_idx()
-            if idx is not None:
-                f = self.pending.pop(idx)
-                return f.source, f.tag, f.materialise()
-            remaining = deadline - _time.monotonic()  # repro: noqa-REP015
-            if remaining <= 0:
-                raise self.deadlock_error(
-                    f"Recv(chan={chan!r}, source={source}, tag={tag}) timed "
-                    f"out after {self.timeout}s on world rank {self.world_rank}"
-                )
-            self.sock.settimeout(remaining)
-            try:
-                self.pending.append(self._next_frame())
-            except DeadlockError:
-                raise
-            except DeadlockTimeout:
-                raise self.deadlock_error(
-                    f"Recv(chan={chan!r}, source={source}, tag={tag}) timed "
-                    f"out after {self.timeout}s on world rank {self.world_rank}"
-                ) from None
+    def _materialise(self, entry: tuple) -> Any:
+        return entry[3].materialise()
 
     def send_ctl(self, payload: Any) -> None:
         _send_frame(self.sock, self._wlock, CTL_CHANNEL, self.world_rank,
                     COORD_DEST, 0, payload)
 
     def close(self) -> None:
-        self.pending.clear()
+        super().close()
         with contextlib.suppress(OSError):
             self.sock.close()
-
-
-class SockCommunicator(RootedRendezvous, CommunicatorBase):
-    """MPI-style communicator whose transport is the coordinator socket.
-
-    Point-to-point payloads travel as frames through the router;
-    collectives come from :class:`CommunicatorBase` over the shared
-    :class:`~repro.parallel.transport.RootedRendezvous`, identically to
-    the process backend."""
-
-    def __init__(self, runtime: _SockRuntime, comm_id: str,
-                 members: Sequence[int], world_rank: int):
-        self._rt = runtime
-        self._init_base(comm_id, members, world_rank)
-        self._recorder = runtime.recorder
-
-    # ---- point-to-point -------------------------------------------------------
-
-    def Send(self, data: Any, dest: int, tag: int = 0, *, move: bool = False) -> None:
-        """Blocking standard send: the frame write decouples sender and
-        receiver (the coordinator buffers), so ``move=True`` needs no
-        special handling beyond the sanitizer freeze."""
-        if not 0 <= dest < self.size:
-            raise SimMPIError(f"dest {dest} out of range for comm of size {self.size}")
-        nbytes = self._rt.send(self.members[dest], self.id, self.rank, tag, data)
-        self.bytes_sent += nbytes
-        self.messages_sent += 1
-        if self._recorder is not None:
-            self._recorder.note_send(self.id, self.rank, dest, tag)
-            if move:
-                freeze_payload(data)
-
-    def Recv(self, buf: np.ndarray | None = None, source: int = ANY_SOURCE,
-             tag: int = ANY_TAG) -> Any:
-        self._rt.wfg_enter(PendingOp(
-            rank=self._rt.world_rank, kind="Recv", comm=self.id,
-            source=self.members[source] if source >= 0 else None,
-            tag=None if tag == ANY_TAG else tag,
-        ))
-        try:
-            src, matched_tag, payload = self._rt.recv(self.id, source, tag)
-        finally:
-            self._rt.wfg_exit()
-        if self._recorder is not None:
-            self._recorder.note_recv(self.id, src, self.rank, matched_tag)
-        if buf is not None:
-            arr = np.asarray(payload)
-            if buf.shape != arr.shape:
-                raise SimMPIError(
-                    f"Recv buffer shape {buf.shape} != message shape {arr.shape}"
-                )
-            buf[...] = arr
-        return payload
-
-    # ---- collective rendezvous: RootedRendezvous over self._rt ----------------
-
-    def _make_child(self, comm_id: str, members: Sequence[int]) -> SockCommunicator:
-        return SockCommunicator(self._rt, comm_id, members, self.world_rank)
 
 
 def worker_join(address: str, *, timeout: float | None = None) -> Any:
     """Connect to a coordinator at ``host:port`` and serve one rank.
 
     This is the whole worker: handshake, receive the rank assignment
-    (with the pickled rank function), run it over a
-    :class:`SockCommunicator`, report the result.  ``repro-paper worker
-    --connect`` is a thin wrapper; tests call it in threads for an
-    in-process loopback world.  Returns the rank function's value (and
-    re-raises its exception after reporting it to the coordinator).
+    (with the pickled rank function), run it, report the result.
+    ``repro-paper worker --connect`` is a thin wrapper; tests call it in
+    threads for an in-process loopback world.  Returns the rank
+    function's value (and re-raises its exception after reporting it to
+    the coordinator).
     """
     timeout = resolve_timeout(timeout)
     host, port = _parse_address(address)
@@ -408,17 +292,11 @@ def worker_join(address: str, *, timeout: float | None = None) -> Any:
             raise ProtocolViolation(f"expected ASSIGN, got {msg[0]!r}")
         _, rank, nprocs, run_timeout, fn, fn_args, fn_kwargs = msg
         runtime = _SockRuntime(sock, rank, nprocs, run_timeout)
-        comm = SockCommunicator(runtime, "world", list(range(nprocs)), rank)
-        try:
-            value = fn(comm, *fn_args, **fn_kwargs)
-            if runtime.recorder is not None:
-                verify_protocol(comm, runtime.recorder)
-        except BaseException as exc:  # noqa: BLE001 - reported to coordinator
-            with contextlib.suppress(OSError):
-                runtime.send_ctl(("RESULT", rank, "err", _pack_exception(exc)))
-            raise
-        runtime.send_ctl(("RESULT", rank, "ok", _pack_result(value)))
-        return value
+
+        def report(status: str, packed: tuple) -> None:
+            runtime.send_ctl(("RESULT", rank, status, packed))
+
+        return run_rank(runtime, fn, fn_args, fn_kwargs, report)
     finally:
         if runtime is not None:
             runtime.close()
@@ -451,6 +329,7 @@ class _Router:
         self.socks: list[_socket.socket | None] = [None] * nprocs
         self.wlocks = [threading.Lock() for _ in range(nprocs)]
         self.finished = [False] * nprocs
+        #: ``(rank, status, packed)`` results; an abort posts status "abort"
         self.result_q: _queue.Queue = _queue.Queue()
         self.abort_reason: str | None = None
         self._abort_lock = threading.Lock()
@@ -483,7 +362,7 @@ class _Router:
                     msg = frame.materialise()
                     if msg[0] == "RESULT":
                         self.finished[rank] = True
-                        self.result_q.put(("result", msg[1], msg[2], msg[3]))
+                        self.result_q.put(msg[1:])
                         continue  # drain until the worker closes
                     if msg[0] == "STUCK":
                         self.stuck[msg[1]] = msg[2]
@@ -522,7 +401,7 @@ class _Router:
                 with self.wlocks[r]:
                     s.sendall(head)
                     s.sendall(body)
-        self.result_q.put(("abort", -1, None, None))
+        self.result_q.put((-1, "abort", None))
 
     def close_all(self) -> None:
         for s in self.socks:
@@ -531,139 +410,81 @@ class _Router:
                     s.close()
 
 
-class SockMPI:
-    """Launcher: run an SPMD function over a TCP coordinator world.
+class _SockWorld(RankWorld):
+    """One launch: the listener, the router and its reader threads."""
 
-    Mirrors :meth:`repro.parallel.simmpi.SimMPI.run` — ``fn``, its
-    arguments and its per-rank return values travel by pickle, so they
-    must be picklable.  By default the launcher binds loopback and
-    spawns its own local worker processes; with ``spawn=False`` (or
-    ``REPRO_SOCKMPI_SPAWN=0``) it announces the bound address and waits
-    for ``nprocs`` external ``repro-paper worker --connect`` processes,
-    which may run on other hosts.
-    """
+    label = "socket"
+    worker_error = SockWorkerError
 
-    name = "socket"
+    def __init__(self, launcher: SockMPI, nprocs: int, timeout: float):
+        # ranks are connected before results are awaited: fixed slack
+        super().__init__(nprocs, timeout, slack=60.0)
+        self.launcher = launcher
+        self.router = _Router(nprocs, timeout)
+        self.listener: _socket.socket | None = None
+        self.threads: list[threading.Thread] = []
 
-    def __init__(self, bind: str | None = None, spawn: bool | None = None,
-                 start_method: str | None = None,
-                 announce: Callable[[str], None] | None = None):
-        self.bind = bind or os.environ.get("REPRO_SOCKMPI_BIND", "127.0.0.1:0")
-        if spawn is None:
-            spawn = os.environ.get("REPRO_SOCKMPI_SPAWN", "1").strip().lower() not in (
-                "0", "false", "off", "no",
-            )
-        self.spawn = spawn
-        self.start_method = start_method
-        self.announce = announce
-
-    def run(self, nprocs: int, fn: Callable[..., Any], *args: Any,
-            timeout: float = None, **kwargs: Any) -> list[Any]:
-        timeout = resolve_timeout(timeout)
-        if nprocs < 1:
-            raise ValueError(f"nprocs must be >= 1, got {nprocs}")
-        host, port = _parse_address(self.bind)
-        listener = _socket.socket()
-        listener.setsockopt(_socket.SOL_SOCKET, _socket.SO_REUSEADDR, 1)
-        listener.bind((host, port))
-        listener.listen(nprocs)
-        bound = listener.getsockname()
+    def launch(self, fn, args, kwargs) -> None:
+        host, port = _parse_address(self.launcher.bind)
+        self.listener = _socket.socket()
+        self.listener.setsockopt(_socket.SOL_SOCKET, _socket.SO_REUSEADDR, 1)
+        self.listener.bind((host, port))
+        self.listener.listen(self.nprocs)
+        bound = self.listener.getsockname()
         addr = f"{bound[0]}:{bound[1]}"
-        router = _Router(nprocs, timeout)
-        procs: list[Any] = []
-        threads: list[threading.Thread] = []
-        results: list[Any] = [None] * nprocs
-        error: BaseException | None = None
-        try:
-            if self.spawn:
-                import multiprocessing as mp
+        if self.launcher.spawn:
+            self.spawn(_spawned_worker, lambda r: (addr, self.timeout), "sockmpi")
+        elif self.launcher.announce is not None:
+            self.launcher.announce(addr)
+        else:
+            print(
+                f"sockmpi coordinator listening on {addr} — start "
+                f"{self.nprocs} worker(s) with: repro-paper worker "
+                f"--connect {addr}",
+                flush=True,
+            )
+        self._accept_workers(addr)
+        for rank, sock in enumerate(self.router.socks):
+            head, body = encode_frame(
+                CTL_CHANNEL, COORD_DEST, COORD_DEST, 0,
+                ("ASSIGN", rank, self.nprocs, self.timeout, fn, args, kwargs),
+            )
+            sock.sendall(head)
+            sock.sendall(body)
+        self.threads = [
+            threading.Thread(target=self.router.serve, args=(r,),
+                             name=f"sockmpi-router-{r}", daemon=True)
+            for r in range(self.nprocs)
+        ]
+        for t in self.threads:
+            t.start()
 
-                method = self.start_method or os.environ.get(
-                    "REPRO_PROCMPI_START", "spawn"
-                )
-                ctx = mp.get_context(method)
-                procs = [
-                    ctx.Process(
-                        target=_spawned_worker, args=(addr, timeout),
-                        name=f"sockmpi-rank-{r}", daemon=True,
-                    )
-                    for r in range(nprocs)
-                ]
-                for p in procs:
-                    p.start()
-            elif self.announce is not None:
-                self.announce(addr)
-            else:
-                print(
-                    f"sockmpi coordinator listening on {addr} — start "
-                    f"{nprocs} worker(s) with: repro-paper worker "
-                    f"--connect {addr}",
-                    flush=True,
-                )
-            self._accept_workers(listener, router, nprocs, timeout, procs, addr)
-            for rank, sock in enumerate(router.socks):
-                head, body = encode_frame(
-                    CTL_CHANNEL, COORD_DEST, COORD_DEST, 0,
-                    ("ASSIGN", rank, nprocs, timeout, fn, args, kwargs),
-                )
-                sock.sendall(head)
-                sock.sendall(body)
-            threads = [
-                threading.Thread(target=router.serve, args=(r,),
-                                 name=f"sockmpi-router-{r}", daemon=True)
-                for r in range(nprocs)
-            ]
-            for t in threads:
-                t.start()
-            error = self._collect(router, results, nprocs, timeout)
-        except BaseException as exc:  # noqa: BLE001 - re-raised after teardown
-            error = exc
-        finally:
-            if error is not None:
-                router.abort(f"world shutting down: {error}")
-            listener.close()
-            for t in threads:
-                t.join(timeout=5.0)
-            router.close_all()
-            grace = 1.0 if error is not None else timeout
-            for p in procs:
-                p.join(timeout=grace)
-            for p in procs:
-                if p.is_alive():
-                    p.terminate()
-                    p.join(timeout=5.0)
-        if error is not None:
-            raise error
-        return results
-
-    @staticmethod
-    def _accept_workers(listener, router: _Router, nprocs: int,
-                        timeout: float, procs: list, addr: str) -> None:
+    def _accept_workers(self, addr: str) -> None:
         """Accept connections until ``nprocs`` workers said HELLO; a
         connection speaking garbage is refused and does not count."""
-        startup = 2 * timeout + (60.0 * nprocs if procs else 0.0)
+        startup = 2 * self.timeout + (60.0 * self.nprocs if self.procs else 0.0)
         deadline = _time.monotonic() + startup
-        listener.settimeout(1.0)
+        self.listener.settimeout(1.0)
         n = 0
-        while n < nprocs:
+        while n < self.nprocs:
             if _time.monotonic() > deadline:
                 raise DeadlockTimeout(
-                    f"only {n}/{nprocs} workers connected to {addr} "
+                    f"only {n}/{self.nprocs} workers connected to {addr} "
                     f"within {startup:.0f}s"
                 )
-            dead = [r for r, p in enumerate(procs) if p.exitcode not in (None, 0)]
+            dead = self.dead()
             if dead:
                 raise SockWorkerError(
-                    f"spawned worker process(es) {dead} died before "
-                    f"connecting (exit codes {[procs[r].exitcode for r in dead]})"
+                    f"spawned worker process(es) {dead} died before connecting "
+                    f"(exit codes {[self.procs[r].exitcode for r in dead]})"
                 )
             try:
-                sock, _peer = listener.accept()
+                sock, _peer = self.listener.accept()
             except TimeoutError:
                 continue
             try:
                 sock.setsockopt(_socket.IPPROTO_TCP, _socket.TCP_NODELAY, 1)
-                sock.settimeout(timeout)
+                sock.settimeout(self.timeout)
                 frame = read_frame(_recv_exactly_fn(sock, "coordinator handshake"))
                 msg = frame.materialise() if frame.chan == CTL_CHANNEL else None
                 if not (isinstance(msg, tuple) and msg[:1] == ("HELLO",)):
@@ -684,75 +505,79 @@ class SockMPI:
                     sock.sendall(body)
                     sock.close()
                 continue
-            router.socks[n] = sock
+            self.router.socks[n] = sock
             n += 1
 
-    @staticmethod
-    def _merge_deadlock(router: _Router, err: DeadlockError,
-                        nprocs: int) -> DeadlockError:
+    def next_result(self, wait: float):
+        try:
+            got = self.router.result_q.get(timeout=wait)
+        except _queue.Empty:
+            return None
+        if got[1] == "abort":
+            raise ProtocolViolation(self.router.abort_reason or "world aborted")
+        return got
+
+    def blocked_ops(self) -> dict[int, dict | None]:
+        # ranks that timed out said why (STUCK notices)
+        return {r: self.router.stuck.get(r) for r in range(self.nprocs)}
+
+    def rank_error(self, exc: BaseException) -> BaseException:
         """One rank timed out; merge every rank's STUCK notice into the
         world wait-for graph.  Peers share the same guard, so their
         notices land within moments of the first — give them a beat."""
+        if not isinstance(exc, DeadlockError):
+            return exc
+        router = self.router
         grace = _time.monotonic() + 1.5
         while _time.monotonic() < grace:
-            blocked = {r for r in range(nprocs) if not router.finished[r]}
+            blocked = {r for r in range(self.nprocs) if not router.finished[r]}
             if blocked <= set(router.stuck):
                 break
             _time.sleep(0.05)
         merged = {
-            r: router.stuck.get(r, err.pending.get(r)) for r in range(nprocs)
+            r: router.stuck.get(r, exc.pending.get(r)) for r in range(self.nprocs)
         }
-        snap = WaitForGraph.snapshot_from_dicts(merged, nprocs)
-        cycle = WaitForGraph.find_cycle(snap)
-        first_line = str(err.args[0]).splitlines()[0]
-        return DeadlockError(
-            first_line + "\n" + WaitForGraph.describe(snap, cycle),
-            pending=merged,
-            cycle=cycle,
-        )
+        return diagnose_deadlock(str(exc.args[0]).splitlines()[0], merged,
+                                 self.nprocs)
 
-    @staticmethod
-    def _collect(router: _Router, results: list[Any], nprocs: int,
-                 timeout: float) -> BaseException | None:
-        """Wait for every rank's RESULT (or the first failure/abort)."""
-        deadline = _time.monotonic() + 2 * timeout + 60.0
-        got = 0
-        while got < nprocs:
-            try:
-                kind, rank, status, packed = router.result_q.get(timeout=0.2)
-            except _queue.Empty:
-                if router.abort_reason is not None:
-                    return ProtocolViolation(router.abort_reason)
-                if _time.monotonic() > deadline:
-                    # ranks that timed out said why (STUCK notices);
-                    # merge them into the world wait-for graph
-                    raw = {r: router.stuck.get(r) for r in range(nprocs)}
-                    snap = WaitForGraph.snapshot_from_dicts(raw, nprocs)
-                    cycle = WaitForGraph.find_cycle(snap)
-                    return DeadlockError(
-                        f"socket world of {nprocs} did not report within "
-                        f"{2 * timeout:.0f}s run guard\n"
-                        + WaitForGraph.describe(snap, cycle),
-                        pending=raw,
-                        cycle=cycle,
-                    )
-                continue
-            if kind == "abort":
-                return ProtocolViolation(router.abort_reason or "world aborted")
-            got += 1
-            if status == "ok":
-                how, blob = packed
-                results[rank] = pickle.loads(blob) if how == "pickle" else blob
-            else:
-                how, payload = packed
-                if how == "exc":
-                    blob, tb = payload
-                    try:
-                        error = pickle.loads(blob)
-                    except Exception:
-                        return SockWorkerError(f"rank {rank} failed:\n{tb}")
-                    if isinstance(error, DeadlockError):
-                        error = SockMPI._merge_deadlock(router, error, nprocs)
-                    return error
-                return SockWorkerError(f"rank {rank} failed:\n{payload}")
-        return None
+    def teardown(self, error: BaseException | None) -> None:
+        if error is not None:
+            self.router.abort(f"world shutting down: {error}")
+        if self.listener is not None:
+            self.listener.close()
+        for t in self.threads:
+            t.join(timeout=5.0)
+        self.router.close_all()
+        self.reap(error is not None)
+
+
+class SockMPI:
+    """Launcher: run an SPMD function over a TCP coordinator world.
+
+    Mirrors :meth:`repro.parallel.simmpi.SimMPI.run` — ``fn``, its
+    arguments and its per-rank return values travel by pickle, so they
+    must be picklable.  By default the launcher binds loopback and
+    spawns its own local worker processes; with ``spawn=False`` (or
+    ``REPRO_SOCKMPI_SPAWN=0``) it announces the bound address and waits
+    for ``nprocs`` external ``repro-paper worker --connect`` processes,
+    which may run on other hosts.
+    """
+
+    name = "socket"
+
+    def __init__(self, bind: str | None = None, spawn: bool | None = None,
+                 announce: Callable[[str], None] | None = None):
+        self.bind = bind or os.environ.get("REPRO_SOCKMPI_BIND", "127.0.0.1:0")
+        if spawn is None:
+            spawn = os.environ.get("REPRO_SOCKMPI_SPAWN", "1").strip().lower() not in (
+                "0", "false", "off", "no",
+            )
+        self.spawn = spawn
+        self.announce = announce
+
+    def run(self, nprocs: int, fn: Callable[..., Any], *args: Any,
+            timeout: float = None, **kwargs: Any) -> list[Any]:
+        timeout = resolve_timeout(timeout)
+        if nprocs < 1:
+            raise ValueError(f"nprocs must be >= 1, got {nprocs}")
+        return _SockWorld(self, nprocs, timeout).run(fn, args, kwargs)

@@ -25,16 +25,15 @@ from repro.parallel.simmpi import SimMPI
 _DECOMP12 = PanelDecomposition(14, 40, 1, 2)
 
 
-def _halo_corrupt(comm, packed, payload_builder):
+def _halo_corrupt(comm, payload_builder):
     """Rank 1 skips the exchange and sends a mis-shaped message carrying
-    the tag rank 0's east-halo receive expects (phase 1, east => tag 3
-    on both wire formats)."""
+    the tag rank 0's east-halo receive expects (phase 1, east => tag 3)."""
     cart = create_cart(comm, (1, 2))
     sub = _DECOMP12.subdomain(comm.rank)
     if comm.rank == 1:
         comm.Send(payload_builder(sub), dest=0, tag=3)
         return None
-    ex = HaloExchanger(cart, sub, packed=packed)
+    ex = HaloExchanger(cart, sub)
     fields = [np.zeros((3,) + sub.local_shape)]
     ex.exchange(fields)
     return None
@@ -55,19 +54,15 @@ def _bad_dtype(sub):
 
 
 def _halo_corrupt_packed(comm):
-    return _halo_corrupt(comm, True, _bad_shape)
-
-
-def _halo_corrupt_legacy(comm):
-    return _halo_corrupt(comm, False, _bad_shape)
+    return _halo_corrupt(comm, _bad_shape)
 
 
 def _halo_corrupt_dtype(comm):
-    return _halo_corrupt(comm, True, _bad_dtype)
+    return _halo_corrupt(comm, _bad_dtype)
 
 
 class TestHaloPlanValidation:
-    @pytest.mark.parametrize("prog", [_halo_corrupt_packed, _halo_corrupt_legacy])
+    @pytest.mark.parametrize("prog", [_halo_corrupt_packed])
     def test_thread_backend_rejects_wrong_shape(self, prog):
         with pytest.raises(ProtocolViolation, match="plan expects"):
             SimMPI.run(2, prog)
@@ -76,7 +71,7 @@ class TestHaloPlanValidation:
         with pytest.raises(ProtocolViolation, match="float32"):
             SimMPI.run(2, _halo_corrupt_dtype)
 
-    @pytest.mark.parametrize("prog", [_halo_corrupt_packed, _halo_corrupt_legacy])
+    @pytest.mark.parametrize("prog", [_halo_corrupt_packed])
     def test_process_backend_rejects_wrong_shape(self, prog):
         with pytest.raises(ProtocolViolation, match="plan expects"):
             ProcMPI.run(2, prog, timeout=120.0)
@@ -105,10 +100,9 @@ def _grid():
     return _GRID
 
 
-def _overset_corrupt(world, packed):
+def _overset_corrupt_packed(world):
     """World of 2 (one rank per panel).  The Yang rank (1) sends garbage
-    under the tag the Yin receptor expects (tag0=0 => 4096 on both wire
-    formats for the first field)."""
+    under the tag the Yin receptor expects (tag0=0 => 4096)."""
     grid = _grid()
     decomp = PanelDecomposition(grid.yin.nth, grid.yin.nph, 1, 1)
     panel_index = 0 if world.rank < 1 else 1
@@ -116,24 +110,14 @@ def _overset_corrupt(world, packed):
     if world.rank == 1:
         world.Send(np.zeros((2, 2)), dest=0, tag=4096)
         return None
-    ex = OversetExchanger(grid, decomp, world, panel_index, 0, packed=packed)
+    ex = OversetExchanger(grid, decomp, world, panel_index, 0)
     f = np.zeros((5, grid.yin.nth, grid.yin.nph))
     ex.exchange_scalar(f)
     return None
 
 
-def _overset_corrupt_packed(world):
-    return _overset_corrupt(world, True)
-
-
-def _overset_corrupt_legacy(world):
-    return _overset_corrupt(world, False)
-
-
 class TestOversetPlanValidation:
-    @pytest.mark.parametrize(
-        "prog", [_overset_corrupt_packed, _overset_corrupt_legacy]
-    )
+    @pytest.mark.parametrize("prog", [_overset_corrupt_packed])
     def test_thread_backend_rejects_wrong_shape(self, prog):
         with pytest.raises(ProtocolViolation, match="plan expects"):
             SimMPI.run(2, prog)

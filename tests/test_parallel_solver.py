@@ -78,8 +78,7 @@ class TestGather:
 
 
 class TestBackendsAndWireFormats:
-    """The packed wire format (default) and the process backend must
-    both reproduce the serial solver bitwise."""
+    """The process backend must reproduce the serial solver bitwise."""
 
     def test_process_backend_matches_serial(self, config, serial_run):
         par = run_parallel_dynamo(config, 1, 2, 4, backend="process",
@@ -87,22 +86,6 @@ class TestBackendsAndWireFormats:
         assert par.steps == 4
         assert_bitwise_equal(par.states, serial_run.state,
                              context="process backend vs serial")
-
-    def test_legacy_wire_format_matches_packed(self, config, serial_run):
-        """Same layout, both wire formats: the fields must agree to the
-        bit — packing is pure message coalescing."""
-        packed = run_parallel_dynamo(config, 2, 1, 4, packed=True)
-        legacy = run_parallel_dynamo(config, 2, 1, 4, packed=False)
-        assert_bitwise_equal(packed.states, legacy.states,
-                             context="packed vs legacy wire format")
-        # and both stay within the seed suite's serial tolerance
-        for panel in (Panel.YIN, Panel.YANG):
-            for (name, a), b in zip(
-                legacy.states[panel].named_arrays(),
-                serial_run.state[panel].arrays(),
-            ):
-                scale = max(1.0, float(np.abs(b).max()))
-                assert np.abs(a - b).max() < 1e-12 * scale, (panel, name)
 
     def test_contracts_and_sanitizers_bitwise_smoke(self):
         """A 2-rank dynamo under ``REPRO_CONTRACTS=1 REPRO_SANITIZE=1``
@@ -148,3 +131,34 @@ class TestBackendsAndWireFormats:
         par = run_parallel_dynamo(config, 1, 2, 2)
         assert len(par.rank_step_seconds) == 4  # 2 panels x 1 x 2
         assert all(s > 0.0 for s in par.rank_step_seconds)
+
+
+class TestStageStateLifetime:
+    def test_stage_states_are_released(self, config):
+        """The solver holds no reference to a step's stage states once
+        the step is over, so rank memory stays flat across steps."""
+        import gc
+        import weakref
+
+        from repro.parallel.parallel_solver import ParallelYinYangDynamo
+        from repro.parallel.simmpi import SimMPI
+
+        def prog(world):
+            solver = ParallelYinYangDynamo(world, config, 1, 1)
+            seen = []
+            enforce_rhs = solver.enforce_rhs
+
+            def recording(state):
+                seen.append(weakref.ref(state.rho))
+                return enforce_rhs(state)
+
+            solver.enforce_rhs = recording
+            solver.step()
+            first_step = list(seen)
+            for _ in range(3):
+                solver.step()
+            gc.collect()
+            return [ref() is None for ref in first_step]
+
+        for dead in SimMPI.run(2, prog):
+            assert len(dead) == 4 and all(dead)
